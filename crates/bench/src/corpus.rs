@@ -447,6 +447,11 @@ fn semantic_mutants(base: &Base) -> Vec<Semantic> {
                 fkw.reorder[0] = fkw.out_c as u16;
             }
         });
+        push("fkw-reorder-duplicate", "payload-invariant", &|m| {
+            if let LayerPlan::PatternConv { fkw, .. } = &mut m.steps[i].op {
+                fkw.reorder[1] = fkw.reorder[0];
+            }
+        });
         push("fkw-weights-truncated", "payload-invariant", &|m| {
             if let LayerPlan::PatternConv { fkw, .. } = &mut m.steps[i].op {
                 fkw.weights.pop();

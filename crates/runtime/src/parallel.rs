@@ -44,10 +44,12 @@ pub enum Schedule {
     Balanced,
 }
 
-/// A multi-threaded wrapper around [`PatternConv`].
+/// A multi-threaded wrapper around [`PatternConv`]. Each batch item is
+/// prepared once (zero-padded for the register-tiled body) and shared
+/// read-only; every worker writes its rows straight into their
+/// filters' output planes.
 pub struct ParallelPattern {
     inner: PatternConv,
-    threads: usize,
     assignments: Vec<Vec<usize>>,
 }
 
@@ -81,57 +83,89 @@ impl ParallelPattern {
             }
         }
         assignments.retain(|rows| !rows.is_empty());
-        ParallelPattern {
-            inner,
-            threads,
-            assignments,
-        }
+        ParallelPattern { inner, assignments }
+    }
+
+    /// Runs the layer into a caller-provided output tensor (the serving
+    /// engine's buffer-reuse path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not have the batch-matched output shape.
+    pub fn run_into(&self, input: &Tensor, out: &mut Tensor) {
+        self.run_into_timed(input, out);
     }
 
     /// Runs one batch item, returning the output and per-thread times.
     pub fn run_timed(&self, input: &Tensor) -> (Tensor, ThreadTimes) {
-        let g = *self.inner.geometry();
-        let s = input.shape4();
-        assert_eq!(s.n, 1, "run_timed takes batch-1 inputs");
-        assert_eq!(s.c, g.in_channels, "input channel mismatch");
-        let out_hw = g.out_h * g.out_w;
+        let g = self.inner.geometry();
+        assert_eq!(input.shape4().n, 1, "run_timed takes batch-1 inputs");
         let mut out = Tensor::zeros(&[1, g.out_channels, g.out_h, g.out_w]);
-        let (planes, times) = self.compute_planes(input.data());
-        for (f, plane) in planes {
-            out.data_mut()[f * out_hw..(f + 1) * out_hw].copy_from_slice(&plane);
-        }
+        let times = self.run_into_timed(input, &mut out);
         (out, times)
     }
 
-    /// Computes all output planes of one batch item across the thread
-    /// pool, returning `(original filter, plane)` pairs and thread times.
-    fn compute_planes(&self, input_item: &[f32]) -> (Vec<(usize, Vec<f32>)>, ThreadTimes) {
-        let mut per_thread: Vec<(f64, Vec<(usize, Vec<f32>)>)> = Vec::with_capacity(self.threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.threads);
-            for rows in &self.assignments {
-                let inner = &self.inner;
-                handles.push(scope.spawn(move || {
-                    let start = Instant::now();
-                    let planes: Vec<(usize, Vec<f32>)> = rows
-                        .iter()
-                        .map(|&row| inner.compute_row_plane(input_item, row))
-                        .collect();
-                    (start.elapsed().as_secs_f64(), planes)
-                }));
-            }
-            for h in handles {
-                per_thread.push(h.join().expect("worker thread panicked"));
-            }
-        });
-
+    /// [`Self::run_into`], returning the last item's thread times.
+    fn run_into_timed(&self, input: &Tensor, out: &mut Tensor) -> ThreadTimes {
+        let g = *self.inner.geometry();
+        let s = input.shape4();
+        assert_eq!(s.c, g.in_channels, "input channel mismatch");
+        assert_eq!(
+            out.shape(),
+            &[s.n, g.out_channels, g.out_h, g.out_w],
+            "output buffer shape mismatch"
+        );
+        let out_img = g.out_channels * g.out_h * g.out_w;
+        let outd = out.data_mut();
         let mut times = ThreadTimes::default();
-        let mut all_planes = Vec::with_capacity(self.inner.fkw().out_c);
-        for (secs, planes) in per_thread {
-            times.seconds.push(secs);
-            all_planes.extend(planes);
-        }
-        (all_planes, times)
+        self.inner.for_each_item(input, |n, item| {
+            times = self.run_item(item, &mut outd[n * out_img..(n + 1) * out_img]);
+        });
+        times
+    }
+
+    /// Computes one prepared batch item across the workers: the item's
+    /// output is split into disjoint per-filter planes, each handed to
+    /// the worker that owns the filter's storage row.
+    fn run_item(&self, item: &[f32], output: &mut [f32]) -> ThreadTimes {
+        let g = self.inner.geometry();
+        let reorder = &self.inner.fkw().reorder;
+        let mut planes: Vec<Option<&mut [f32]>> = output
+            .chunks_exact_mut(g.out_h * g.out_w)
+            .map(Some)
+            .collect();
+        let work: Vec<Vec<(usize, &mut [f32])>> = self
+            .assignments
+            .iter()
+            .map(|rows| {
+                rows.iter()
+                    .map(|&row| {
+                        let plane = planes[reorder[row] as usize].take();
+                        (row, plane.expect("reorder is a permutation"))
+                    })
+                    .collect()
+            })
+            .collect();
+        let inner = &self.inner;
+        let seconds = std::thread::scope(|scope| {
+            let handles: Vec<_> = work
+                .into_iter()
+                .map(|rows| {
+                    scope.spawn(move || {
+                        let start = Instant::now();
+                        for (row, plane) in rows {
+                            inner.row_into(item, row, plane);
+                        }
+                        start.elapsed().as_secs_f64()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread panicked"))
+                .collect()
+        });
+        ThreadTimes { seconds }
     }
 }
 
@@ -145,20 +179,10 @@ impl ConvExecutor for ParallelPattern {
     }
 
     fn run(&self, input: &Tensor) -> Tensor {
-        let g = *self.inner.geometry();
+        let g = self.inner.geometry();
         let s = input.shape4();
-        assert_eq!(s.c, g.in_channels, "input channel mismatch");
-        let in_img = g.in_channels * g.in_h * g.in_w;
-        let out_hw = g.out_h * g.out_w;
-        let out_img = g.out_channels * out_hw;
         let mut out = Tensor::zeros(&[s.n, g.out_channels, g.out_h, g.out_w]);
-        for n in 0..s.n {
-            let (planes, _) = self.compute_planes(&input.data()[n * in_img..(n + 1) * in_img]);
-            let item = &mut out.data_mut()[n * out_img..(n + 1) * out_img];
-            for (f, plane) in planes {
-                item[f * out_hw..(f + 1) * out_hw].copy_from_slice(&plane);
-            }
-        }
+        self.run_into(input, &mut out);
         out
     }
 }

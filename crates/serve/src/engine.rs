@@ -724,12 +724,9 @@ fn run_step(step: &Step, inputs: &[&Tensor], buf: &mut Tensor) {
     let prev = inputs[0];
     match &step.exec {
         StepExec::Pattern(exec) => exec.run_into(prev, buf),
+        StepExec::PatternPar(exec) => exec.run_into(prev, buf),
         StepExec::Im2col(exec) => exec.run_into(prev, buf),
         StepExec::Winograd(exec) => exec.run_into(prev, buf),
-        StepExec::PatternPar(exec) => {
-            let out = exec.run(prev);
-            buf.data_mut().copy_from_slice(out.data());
-        }
         StepExec::Dense(exec) => {
             let out = exec.run(prev);
             buf.data_mut().copy_from_slice(out.data());

@@ -19,7 +19,7 @@
 //!   shape-exact.
 //! - **FKW/CSR index bounds** — the compressed-storage index arrays are
 //!   exhaustively checked against the declared weight arrays (offsets
-//!   cumulative, reorder and channel indices in range, stride runs
+//!   cumulative, reorder a permutation, channel indices in range, stride runs
 //!   tiling each filter), so the executors' inner loops never index out
 //!   of bounds.
 //! - **Accumulation proof** — every INT8 step's worst-case `i8 × i8 →
@@ -1159,6 +1159,15 @@ fn check_fkw_structure(i: usize, name: &str, v: &mut Vec<Violation>, fkw: FkwVie
     }
     if fkw.reorder.iter().any(|&f| f as usize >= fkw.out_c) {
         return fail("reorder entry out of filter range");
+    }
+    // Each output plane is written by exactly one storage row.
+    let mut seen = vec![false; fkw.out_c];
+    if fkw
+        .reorder
+        .iter()
+        .any(|&f| std::mem::replace(&mut seen[f as usize], true))
+    {
+        return fail("reorder is not a permutation of the filters");
     }
     if fkw.index.iter().any(|&ic| ic as usize >= fkw.in_c) {
         return fail("kernel index out of channel range");

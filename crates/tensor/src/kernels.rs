@@ -1,7 +1,8 @@
 //! Register-tiled SIMD micro-kernels with runtime CPU dispatch.
 //!
 //! Every hot inner loop in the workspace — the f32 pattern-conv LRE
-//! spans, the im2col GEMM, the FC heads, and the INT8 accumulators —
+//! spans and padded-plane output blocks, the im2col GEMM, the FC heads,
+//! and the INT8 accumulators —
 //! bottoms out in one of the primitives here. The module follows the
 //! `PackedConv`/`ConvKer` split of production inference runtimes: the
 //! *layout* (panel packing, tile sizes) is fixed and variant-independent
@@ -31,6 +32,9 @@ pub const MR: usize = 4;
 pub const NR: usize = 16;
 /// Column width of the packed INT8 right-hand-side panels.
 pub const NR_I8: usize = 16;
+/// Lane counts [`MicroKernel::pattern_block_f32`] accepts: one to eight
+/// 8-lane YMM accumulators.
+pub const BLOCK_WIDTHS: [usize; 4] = [8, 16, 32, 64];
 
 /// Which arithmetic implementation backs the kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,6 +71,22 @@ pub trait MicroKernel: Sync {
 
     /// `y[i] += a * x[i]` over equal-length f32 spans.
     fn axpy_f32(&self, a: f32, x: &[f32], y: &mut [f32]);
+
+    /// One output block of a pattern-conv filter over a zero-padded
+    /// input: `acc[j] += Σ_k Σ_e w[k·E + e] · x[chans[k]·plane +
+    /// taps[e] + j]` for `j < acc.len()`, with `E = taps.len()`. The
+    /// block stays in registers across every kernel and tap.
+    /// `acc.len()` must be one of [`BLOCK_WIDTHS`], `w` must hold
+    /// `chans.len() · E` weights and `x` every addressed lane.
+    fn pattern_block_f32(
+        &self,
+        x: &[f32],
+        plane: usize,
+        chans: &[u16],
+        taps: &[usize],
+        w: &[f32],
+        acc: &mut [f32],
+    );
 
     /// Dot product of two equal-length f32 spans.
     fn dot_f32(&self, x: &[f32], y: &[f32]) -> f32;
@@ -111,6 +131,29 @@ impl MicroKernel for PortableKernel {
         debug_assert_eq!(x.len(), y.len());
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi += a * xi;
+        }
+    }
+
+    fn pattern_block_f32(
+        &self,
+        x: &[f32],
+        plane: usize,
+        chans: &[u16],
+        taps: &[usize],
+        w: &[f32],
+        acc: &mut [f32],
+    ) {
+        debug_assert!(BLOCK_WIDTHS.contains(&acc.len()));
+        debug_assert!(w.len() >= chans.len() * taps.len());
+        let b = acc.len();
+        for (&c, wk) in chans.iter().zip(w.chunks_exact(taps.len().max(1))) {
+            let base = c as usize * plane;
+            for (&t, &wv) in taps.iter().zip(wk) {
+                let src = &x[base + t..base + t + b];
+                for (a, &s) in acc.iter_mut().zip(src) {
+                    *a += wv * s;
+                }
+            }
         }
     }
 
@@ -224,6 +267,80 @@ mod avx2 {
         while i < n {
             *y.get_unchecked_mut(i) += a * *x.get_unchecked(i);
             i += 1;
+        }
+    }
+
+    /// The pattern block over `V` YMM vectors, split into `S`
+    /// independent accumulator chains: tap `e` feeds chain `e % S` (a
+    /// tap count not divisible by `S` sends its remainder to chain 0).
+    /// Four-tap patterns, the common case, keep their tap offsets in
+    /// registers across the kernel loop. `x` points at the block's
+    /// first lane.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has AVX2 and FMA; `acc.len() == 8·V`; `x` is valid for
+    /// reads of `chans[k]·plane + taps[e] + 8·V` values for every `k`
+    /// and `e`; `w` is valid for reads of `chans.len() · taps.len()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn pattern_block_f32<const V: usize, const S: usize>(
+        x: *const f32,
+        plane: usize,
+        chans: &[u16],
+        taps: &[usize],
+        w: *const f32,
+        acc: &mut [f32],
+    ) {
+        debug_assert_eq!(acc.len(), 8 * V);
+        let mut c = [[_mm256_setzero_ps(); V]; S];
+        let e_n = taps.len();
+        if let Ok(&t) = <&[usize; 4]>::try_from(taps) {
+            for (k, &ch) in chans.iter().enumerate() {
+                let base = x.add(ch as usize * plane);
+                let wk = w.add(4 * k);
+                for e in 0..4 {
+                    tap_fma(&mut c[e % S], *wk.add(e), base.add(t[e]));
+                }
+            }
+        } else {
+            let full = e_n - e_n % S;
+            for (k, &ch) in chans.iter().enumerate() {
+                let base = x.add(ch as usize * plane);
+                let wk = w.add(e_n * k);
+                let mut e = 0;
+                while e < full {
+                    for (s, cs) in c.iter_mut().enumerate() {
+                        tap_fma(cs, *wk.add(e + s), base.add(*taps.get_unchecked(e + s)));
+                    }
+                    e += S;
+                }
+                for r in full..e_n {
+                    tap_fma(&mut c[0], *wk.add(r), base.add(*taps.get_unchecked(r)));
+                }
+            }
+        }
+        for v in 0..V {
+            let mut sum = c[0][v];
+            for cs in &c[1..] {
+                sum = _mm256_add_ps(sum, cs[v]);
+            }
+            let dst = acc.as_mut_ptr().add(8 * v);
+            _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), sum));
+        }
+    }
+
+    /// `c[v] += w · src[8v..8v + 8]` for each of the `V` vectors.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has AVX2 and FMA; `src` is valid for reads of `8·V`
+    /// values.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn tap_fma<const V: usize>(c: &mut [__m256; V], w: f32, src: *const f32) {
+        let wv = _mm256_set1_ps(w);
+        for (v, cv) in c.iter_mut().enumerate() {
+            *cv = _mm256_fmadd_ps(wv, _mm256_loadu_ps(src.add(8 * v)), *cv);
         }
     }
 
@@ -373,6 +490,42 @@ impl MicroKernel for Avx2Kernel {
         assert_eq!(x.len(), y.len());
         // SAFETY: as above.
         unsafe { avx2::axpy_f32(a, x, y) }
+    }
+
+    fn pattern_block_f32(
+        &self,
+        x: &[f32],
+        plane: usize,
+        chans: &[u16],
+        taps: &[usize],
+        w: &[f32],
+        acc: &mut [f32],
+    ) {
+        assert!(w.len() >= chans.len() * taps.len(), "pattern block weights");
+        let (Some(&c), Some(&t)) = (chans.iter().max(), taps.iter().max()) else {
+            return;
+        };
+        let reach = (c as usize)
+            .checked_mul(plane)
+            .and_then(|r| r.checked_add(t))
+            .and_then(|r| r.checked_add(acc.len()));
+        assert!(
+            reach.is_some_and(|r| r <= x.len()),
+            "pattern block reads past the input"
+        );
+        let (x, w) = (x.as_ptr(), w.as_ptr());
+        // SAFETY: as above, plus the furthest read (the largest channel
+        // base plus the largest tap plus the block width) and the weight
+        // count asserted here; the width arm matches `acc.len()`.
+        unsafe {
+            match acc.len() {
+                8 => avx2::pattern_block_f32::<1, 4>(x, plane, chans, taps, w, acc),
+                16 => avx2::pattern_block_f32::<2, 4>(x, plane, chans, taps, w, acc),
+                32 => avx2::pattern_block_f32::<4, 2>(x, plane, chans, taps, w, acc),
+                64 => avx2::pattern_block_f32::<8, 1>(x, plane, chans, taps, w, acc),
+                b => panic!("block width {b} is not one of {BLOCK_WIDTHS:?}"),
+            }
+        }
     }
 
     fn dot_f32(&self, x: &[f32], y: &[f32]) -> f32 {
@@ -659,6 +812,47 @@ mod tests {
                     "{} dot len {len}: {d} vs {want}",
                     kernel.variant().label()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_block_matches_scalar_sum_at_every_width() {
+        let mut rng = Rng::seed_from(15);
+        for kernel in kernels() {
+            for b in BLOCK_WIDTHS {
+                // 1 tap (1×1), 4 (a pattern), 9 (a dense 3×3 kernel):
+                // divisible and ragged against every chain count.
+                for entries in [1usize, 4, 9] {
+                    let plane = 37;
+                    let chans: Vec<u16> = (0..5).map(|_| rng.below(3) as u16).collect();
+                    let taps: Vec<usize> = (0..entries).map(|_| rng.below(plane)).collect();
+                    let w: Vec<f32> = (0..chans.len() * entries)
+                        .map(|_| rng.uniform(-1.0, 1.0))
+                        .collect();
+                    // Exactly as long as the furthest read.
+                    let reach = *chans.iter().max().expect("chans") as usize * plane
+                        + taps.iter().max().expect("taps")
+                        + b;
+                    let x: Vec<f32> = (0..reach).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                    let acc0: Vec<f32> = (0..b).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                    let mut acc = acc0.clone();
+                    kernel.pattern_block_f32(&x, plane, &chans, &taps, &w, &mut acc);
+                    for j in 0..b {
+                        let mut want = acc0[j];
+                        for (k, &c) in chans.iter().enumerate() {
+                            for (e, &t) in taps.iter().enumerate() {
+                                want += w[k * entries + e] * x[c as usize * plane + t + j];
+                            }
+                        }
+                        assert!(
+                            (acc[j] - want).abs() < 1e-4,
+                            "{} width {b} entries {entries} lane {j}: {} vs {want}",
+                            kernel.variant().label(),
+                            acc[j]
+                        );
+                    }
+                }
             }
         }
     }
